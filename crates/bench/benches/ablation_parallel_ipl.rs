@@ -1,11 +1,23 @@
 //! Ablation: parallel IPL summarization — per-procedure summaries are
-//! independent, so the phase scales with worker threads (crossbeam scoped
-//! threads over a shared work index).
+//! independent, so the phase scales with worker threads (the governed
+//! pool, `support::governor::par_map`, behind the isolated IPL entry point
+//! the pipeline itself uses).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ipa::parallel::summarize_all_parallel;
+use ipa::isolate::{summarize_subset_isolated, IplFailure};
+use ipa::ProcSummary;
 use std::hint::black_box;
+use whirl::{ProcId, Program};
 use workloads::synthetic::{generate, SynthConfig};
+
+/// Isolated IPL over every procedure of `program` on `threads` workers.
+fn summarize_all(
+    program: &Program,
+    threads: usize,
+) -> Vec<(ProcId, ProcSummary, Option<IplFailure>)> {
+    let ids: Vec<ProcId> = program.procedures.indices().collect();
+    summarize_subset_isolated(program, &ids, threads, Default::default())
+}
 
 fn bench_thread_sweep(c: &mut Criterion) {
     let cfg = SynthConfig {
@@ -28,7 +40,7 @@ fn bench_thread_sweep(c: &mut Criterion) {
             BenchmarkId::from_parameter(threads),
             &threads,
             |b, &threads| {
-                b.iter(|| black_box(summarize_all_parallel(black_box(&program), threads)))
+                b.iter(|| black_box(summarize_all(black_box(&program), threads)))
             },
         );
     }
@@ -48,7 +60,7 @@ fn bench_lu_threads(c: &mut Criterion) {
             BenchmarkId::from_parameter(threads),
             &threads,
             |b, &threads| {
-                b.iter(|| black_box(summarize_all_parallel(black_box(&program), threads)))
+                b.iter(|| black_box(summarize_all(black_box(&program), threads)))
             },
         );
     }

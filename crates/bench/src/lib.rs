@@ -15,7 +15,7 @@
 //! | `table4_offload` | Table IV offload model sweep |
 //! | `ablation_fm` | FM solver regimes (+ STEP_BUDGET widening stats) |
 //! | `ablation_union` | approximate-union cost and precision loss |
-//! | `ablation_parallel_ipl` | IPL thread sweep |
+//! | `ablation_parallel_ipl` | isolated IPL thread sweep (`governor::par_map`) |
 //! | `ablation_loop_par` | loop-carried dependence test cost |
 //!
 //! The workspace-level integration tests (`/tests`) and runnable examples

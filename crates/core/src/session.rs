@@ -170,6 +170,9 @@ impl AnalysisSession {
     /// lifetime (they are part of every cache key).
     pub fn new(opts: AnalysisOptions) -> Self {
         let (tx, rx) = std::sync::mpsc::channel::<SessionState>();
+        // The dropper only frees memory and outlives any one update, so it
+        // attaches no governor (it would pin the creator's collector and
+        // budgets for the session's lifetime).
         let spawned = std::thread::Builder::new()
             .name("araa-session-dropper".to_string())
             .spawn(move || while rx.recv().is_ok() {})
@@ -253,7 +256,7 @@ impl AnalysisSession {
         // Memory budget for this update (`None` = unlimited): charged at
         // the same checkpoints as the step budgets, so every phase below
         // widens instead of allocating past the ceiling. Worker threads
-        // re-enter the same budget via `support::memory::current()`.
+        // inherit it with the rest of the governor (`governor::par_map`).
         let mem = self.opts.mem_budget_mb.map(support::memory::MemoryBudget::mb);
         let _mem_scope = mem.clone().map(support::memory::enter);
 
@@ -293,9 +296,8 @@ impl AnalysisSession {
                     // be budget-truncated, and caching them would replay this
                     // failure even after the caller raises the budget. Drop
                     // everything so the retry reparses cold.
-                    let mem_exhausted = mem
-                        .clone()
-                        .or_else(support::memory::current)
+                    let mem_exhausted = support::governor::current()
+                        .memory()
                         .is_some_and(|b| b.exhausted());
                     if mem_exhausted {
                         self.file_cache.clear();
@@ -660,12 +662,12 @@ impl AnalysisSession {
             }
             None => delta.rows_added = rows.len(),
         }
-        // The effective budget may be the session's own (`mem`) or an
-        // ambient scope entered by the caller (e.g. a serve request): both
-        // widen at the same checkpoints, so exhaustion of either must show
+        // The effective budget is the governor's: the session's own (`mem`,
+        // entered above) or one the caller attached (e.g. a serve request).
+        // Both widen at the same checkpoints, so exhaustion of either must show
         // up as a structured degradation — and taint the retained state so
         // nothing widened-by-circumstance is ever reused or persisted.
-        let effective_mem = mem.clone().or_else(support::memory::current);
+        let effective_mem = support::governor::current().memory().cloned();
         let tainted = effective_mem.as_ref().is_some_and(|b| b.exhausted());
         if let Some(b) = effective_mem.filter(|b| b.exhausted()) {
             degradations.push(Degradation {

@@ -33,6 +33,9 @@ fn procs_with_rows(a: &Analysis) -> usize {
 }
 
 fn baseline() -> (usize, usize) {
+    // Holds the lock too: a point armed by a concurrent test must not fire
+    // inside the clean run.
+    let _guard = ARMED.lock().unwrap_or_else(|p| p.into_inner());
     let a = Analysis::analyze(&workloads::mini_lu::sources(), AnalysisOptions::default())
         .expect("clean baseline");
     assert!(!a.degraded());
@@ -115,9 +118,10 @@ fn unarmed_faultpoints_change_nothing() {
     assert!(!a.degraded());
 }
 
-/// Drives `ipa::parallel::summarize_all_parallel` directly: a worker panic
-/// must degrade exactly the faulted procedure's summary to the conservative
-/// whole-array fallback, leaving every other summary untouched.
+/// Drives `ipa::isolate::summarize_subset_isolated` on four workers
+/// directly: a worker panic must degrade exactly the faulted procedure's
+/// summary to the conservative whole-array fallback, leaving every other
+/// summary untouched.
 #[test]
 fn parallel_worker_panic_degrades_one_summary_in_place() {
     use frontend::{compile_to_h, SourceFile, DEFAULT_LAYOUT_BASE};
@@ -126,9 +130,16 @@ fn parallel_worker_panic_degrades_one_summary_in_place() {
     let srcs: Vec<SourceFile> =
         workloads::mini_lu::sources().iter().map(SourceFile::from).collect();
     let program = compile_to_h(&srcs, DEFAULT_LAYOUT_BASE).expect("mini_lu compiles");
-    let clean = ipa::parallel::summarize_all_parallel(&program, 4);
+    let ids: Vec<whirl::ProcId> = program.procedures.indices().collect();
+    let summarize_all = || -> Vec<ipa::ProcSummary> {
+        ipa::isolate::summarize_subset_isolated(&program, &ids, 4, Default::default())
+            .into_iter()
+            .map(|(_, summary, _)| summary)
+            .collect()
+    };
+    let clean = summarize_all();
     faultpoint::arm("ipl::summarize", 2);
-    let faulted = ipa::parallel::summarize_all_parallel(&program, 4);
+    let faulted = summarize_all();
     faultpoint::disarm_all();
     assert_eq!(faulted.len(), program.procedure_count());
     let differing: Vec<usize> = clean

@@ -655,25 +655,30 @@ fn main() {
         None
     };
 
-    // `--timeout` installs a wall-clock deadline for the whole command.
-    // Budget checkpoints observe it (worker threads inherit it), so a
-    // stuck solve degrades conservatively instead of hanging; the expiry
-    // itself is reported as a degradation below (exit 1, never a hang).
+    // `--timeout` installs a wall-clock deadline for the whole command, and
+    // `--mem-budget-mb` bounds its allocation churn the same way. Both go
+    // into the command's governor: budget checkpoints observe it and every
+    // worker thread re-attaches it, so a stuck solve degrades
+    // conservatively instead of hanging; expiry and exhaustion are reported
+    // as degradations below (exit 1, never a hang or an OOM kill). For
+    // `serve` the memory flag is a per-request default instead — a
+    // daemon-lifetime budget would conflate every request's charges.
     let deadline_token = timeout_secs.map(|s| {
         support::deadline::DeadlineToken::after(std::time::Duration::from_secs_f64(s))
     });
-    let _deadline_scope = deadline_token.clone().map(support::deadline::enter);
-
-    // `--mem-budget-mb` bounds the whole command's allocation churn the
-    // same way (budget checkpoints observe the scope; workers inherit it).
-    // For `serve` the flag is a per-request default instead — a daemon-
-    // lifetime scope would conflate every request's charges.
     let cli_mem_budget = if cmd == "serve" {
         None
     } else {
         mem_budget_mb.map(support::memory::MemoryBudget::mb)
     };
-    let _mem_scope = cli_mem_budget.clone().map(support::memory::enter);
+    let mut governor = support::governor::Governor::new();
+    if let Some(token) = &deadline_token {
+        governor = governor.with_deadline(std::sync::Arc::clone(token));
+    }
+    if let Some(budget) = &cli_mem_budget {
+        governor = governor.with_memory(std::sync::Arc::clone(budget));
+    }
+    let _governor = governor.attach();
 
     match cmd.as_str() {
         "analyze" => {

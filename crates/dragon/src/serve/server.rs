@@ -78,10 +78,11 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use support::deadline::{self, DeadlineToken};
+use support::deadline::DeadlineToken;
+use support::governor::{self, Governor};
 use support::hash::fnv1a;
 use support::json::{obj, Value};
-use support::memory::{self, MemoryBudget};
+use support::memory::MemoryBudget;
 use support::obs::{self, ClockKind, Counter, Gauge, SpanEvent};
 use whirl::Lang;
 
@@ -417,7 +418,9 @@ pub fn run(opts: ServeOptions) -> support::Result<()> {
     let mut senders: Vec<SyncSender<Job>> = Vec::with_capacity(workers);
     let mut shared_rxs: Vec<Arc<Mutex<Receiver<Job>>>> = Vec::with_capacity(workers);
     let handles: WorkerHandles = Arc::new(Mutex::new(Vec::with_capacity(workers)));
-    let obs_ctx = obs::current();
+    // Every daemon thread runs under the serving thread's governor (its
+    // collector, for the CLI's observability exports).
+    let gov = governor::current();
     for (idx, projects) in initial.into_iter().enumerate() {
         let (tx, rx) = sync_channel::<Job>(queue_depth);
         senders.push(tx);
@@ -426,12 +429,12 @@ pub fn run(opts: ServeOptions) -> support::Result<()> {
         let opts = opts.clone();
         let stats = Arc::clone(&stats);
         let sup = Arc::clone(&supervisor);
-        let obs_ctx = obs_ctx.clone();
+        let gov = gov.clone();
         let metrics = Arc::clone(&metrics);
         let handle = std::thread::Builder::new()
             .name(format!("serve-worker-{idx}"))
             .spawn(move || {
-                let _obs = obs_ctx.map(obs::attach);
+                let _gov = gov.attach();
                 worker_main(&rx, idx, 0, &sup, &opts, &stats, &metrics, projects);
             })
             .map_err(|e| support::Error::io("spawning worker".to_string(), e))?;
@@ -449,12 +452,12 @@ pub fn run(opts: ServeOptions) -> support::Result<()> {
         let shared_rxs = shared_rxs.clone();
         let stats = Arc::clone(&stats);
         let opts = opts.clone();
-        let obs_ctx = obs::current();
+        let gov = gov.clone();
         let metrics = Arc::clone(&metrics);
         std::thread::Builder::new()
             .name("serve-supervisor".to_string())
             .spawn(move || {
-                let _obs = obs_ctx.map(obs::attach);
+                let _gov = gov.attach();
                 while !stop.load(Ordering::Relaxed) {
                     std::thread::sleep(SUPERVISOR_POLL);
                     for (idx, worker_rx) in shared_rxs.iter().enumerate() {
@@ -467,9 +470,11 @@ pub fn run(opts: ServeOptions) -> support::Result<()> {
                         let stats = Arc::clone(&stats);
                         let opts = opts.clone();
                         let metrics = Arc::clone(&metrics);
+                        let gov = governor::current();
                         let spawned = std::thread::Builder::new()
                             .name(format!("serve-worker-{idx}-g{generation}"))
                             .spawn(move || {
+                                let _gov = gov.attach();
                                 worker_main(
                                     &rx,
                                     idx,
@@ -504,9 +509,11 @@ pub fn run(opts: ServeOptions) -> support::Result<()> {
             let stats = Arc::clone(&stats);
             let sup = Arc::clone(&supervisor);
             let stop = Arc::clone(&snap_stop);
+            let gov = gov.clone();
             std::thread::Builder::new()
                 .name("serve-metrics-snapshot".to_string())
                 .spawn(move || {
+                    let _gov = gov.attach();
                     let tick = Duration::from_millis(50);
                     let mut elapsed = Duration::ZERO;
                     let period = Duration::from_millis(interval);
@@ -545,13 +552,13 @@ pub fn run(opts: ServeOptions) -> support::Result<()> {
                 let sup = Arc::clone(&supervisor);
                 let active = Arc::clone(&active_conns);
                 let opts = opts.clone();
-                let obs_ctx = obs::current();
+                let gov = gov.clone();
                 let metrics = Arc::clone(&metrics);
                 active.fetch_add(1, Ordering::Relaxed);
                 let spawned = std::thread::Builder::new()
                     .name("serve-conn".to_string())
                     .spawn(move || {
-                        let _obs = obs_ctx.map(obs::attach);
+                        let _gov = gov.attach();
                         handle_connection(stream, &senders, &stats, &opts, &sup, &metrics, started);
                         active.fetch_sub(1, Ordering::Relaxed);
                     });
@@ -1372,29 +1379,31 @@ fn serve_one(
 ) -> Served {
     let deadline_ms = effective_deadline_ms(req, shard.opts);
     let token = DeadlineToken::after(Duration::from_millis(deadline_ms));
-    let _scope = deadline::enter(Arc::clone(&token));
     // Request budget overrides the server default; either bounds this
     // request's allocation churn at the shared budget checkpoints.
     let mem = req.mem_budget_mb.or(shard.opts.mem_budget_mb).map(MemoryBudget::mb);
-    let mem_scope = mem.clone().map(memory::enter);
-    // Per-request span collector, attached innermost so analysis spans
-    // land here; counters fold back into any outer collector afterwards.
+    // The request's governor: its deadline, its memory budget and a
+    // per-request span collector, attached innermost so analysis spans
+    // land there; counters fold back into the outer collector afterwards.
+    let parent = obs::current();
     let child = obs::Collector::new(metrics.clock());
-    let outcome = {
-        let child = Arc::clone(&child);
-        catch_unwind(AssertUnwindSafe(|| {
-            let _obs = obs::attach(child);
-            let _root = obs::span("serve.request");
-            handle_request(shard, req)
-        }))
-    };
-    if let Some(parent) = obs::current() {
+    let mut gov =
+        Governor::new().with_deadline(Arc::clone(&token)).with_collector(Arc::clone(&child));
+    if let Some(budget) = &mem {
+        gov = gov.with_memory(Arc::clone(budget));
+    }
+    let attached = gov.attach();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let _root = obs::span("serve.request");
+        handle_request(shard, req)
+    }));
+    // Detaching flushes the tail allocation delta into the budget, so
+    // `charged_bytes` below is the request's full bill.
+    drop(attached);
+    if let Some(parent) = parent {
         child.fold_into(&parent);
     }
     let events = child.events();
-    // Leaving the scope flushes the tail allocation delta into the budget,
-    // so `charged_bytes` below is the request's full bill.
-    drop(mem_scope);
     let expired = token.expired_now();
     if expired {
         shard.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);

@@ -10,10 +10,8 @@
 //! degradation report instead of dying.
 
 use crate::local::{summarize_procedure, whole_array_record, ProcSummary};
-use parking_lot::Mutex;
 use regions::access::{AccessMode, Precision};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use support::budget::{self, BudgetConfig};
 use whirl::{ProcId, Program, StClass, TyKind};
 
@@ -26,16 +24,6 @@ pub struct IplFailure {
     pub stage: &'static str,
     /// Human-readable cause (panic message or exhausted budget name).
     pub detail: String,
-}
-
-/// All summaries plus the failures contained while computing them.
-#[derive(Debug)]
-pub struct IplOutcome {
-    /// One summary per procedure (indexable by `ProcId`), every entry
-    /// usable — failed procedures hold conservative fallbacks.
-    pub summaries: Vec<ProcSummary>,
-    /// Contained failures, in procedure order.
-    pub failures: Vec<IplFailure>,
 }
 
 /// Renders a `catch_unwind` payload as text.
@@ -120,104 +108,22 @@ pub fn conservative_summary(program: &Program, id: ProcId) -> ProcSummary {
     ProcSummary { accesses, index_facts: Default::default() }
 }
 
-/// Serial isolated IPL over every procedure.
-pub fn summarize_all_isolated(program: &Program, config: BudgetConfig) -> IplOutcome {
-    let mut summaries = Vec::with_capacity(program.procedure_count());
-    let mut failures = Vec::new();
-    for id in program.procedures.indices() {
-        let (s, f) = summarize_proc_guarded(program, id, config);
-        summaries.push(s);
-        failures.extend(f);
-    }
-    IplOutcome { summaries, failures }
-}
-
-/// Isolated IPL over an arbitrary subset of procedures — the incremental
-/// session's dirty set. Results come back in `ids` order, one entry per
-/// requested procedure. Uses the same worker structure as the full parallel
-/// path; with one thread (or one id) it runs serially.
+/// Isolated IPL over a set of procedures — every procedure for a cold
+/// run, the incremental session's dirty set otherwise. Results come back in
+/// `ids` order, one entry per requested procedure. Runs on the governed
+/// worker pool ([`support::governor::par_map`]), so every worker observes
+/// the caller's deadline, memory budget and collector; with one thread (or
+/// one id) it runs serially.
 pub fn summarize_subset_isolated(
     program: &Program,
     ids: &[ProcId],
     threads: usize,
     config: BudgetConfig,
 ) -> Vec<(ProcId, ProcSummary, Option<IplFailure>)> {
-    let n = ids.len();
-    if threads <= 1 || n <= 1 {
-        return ids
-            .iter()
-            .map(|&id| {
-                let (s, f) = summarize_proc_guarded(program, id, config);
-                (id, s, f)
-            })
-            .collect();
-    }
-    let threads = threads.min(n);
-    let next = AtomicUsize::new(0);
-    type Slot = (usize, ProcSummary, Option<IplFailure>);
-    let merged: Mutex<Vec<Slot>> = Mutex::new(Vec::with_capacity(n));
-    // Observability, deadline, and memory-budget contexts are
-    // thread-scoped (like budgets); capture the spawning thread's so worker
-    // spans land in the same trace and workers observe the same request
-    // deadline and charge the same allocation pool.
-    let obs_ctx = support::obs::current();
-    let deadline_ctx = support::deadline::current();
-    let memory_ctx = support::memory::current();
-
-    let joined = crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                let _obs = obs_ctx.clone().map(support::obs::attach);
-                let _deadline = deadline_ctx.clone().map(support::deadline::enter);
-                let _memory = memory_ctx.clone().map(support::memory::enter);
-                let mut local: Vec<Slot> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let (s, f) = summarize_proc_guarded(program, ids[i], config);
-                    local.push((i, s, f));
-                }
-                merged.lock().extend(local);
-            });
-        }
-    });
-    if let Err(payload) = joined {
-        // Only infrastructure panics (not analysis ones — those are caught
-        // per procedure) can reach here; surface them unchanged.
-        std::panic::resume_unwind(payload);
-    }
-
-    let mut indexed = merged.into_inner();
-    indexed.sort_by_key(|(i, _, _)| *i);
-    indexed
-        .into_iter()
-        .map(|(i, s, f)| (ids[i], s, f))
-        .collect()
-}
-
-/// Parallel isolated IPL: the worker structure of
-/// [`crate::parallel::summarize_all_parallel`] with per-procedure budget
-/// scopes (budgets are thread-local, so each worker enters its own) and
-/// panic containment.
-pub fn summarize_all_parallel_isolated(
-    program: &Program,
-    threads: usize,
-    config: BudgetConfig,
-) -> IplOutcome {
-    let n = program.procedure_count();
-    if threads <= 1 || n <= 1 {
-        return summarize_all_isolated(program, config);
-    }
-    let ids: Vec<ProcId> = program.procedures.indices().collect();
-    let mut summaries = Vec::with_capacity(n);
-    let mut failures = Vec::new();
-    for (_, s, f) in summarize_subset_isolated(program, &ids, threads, config) {
-        summaries.push(s);
-        failures.extend(f);
-    }
-    IplOutcome { summaries, failures }
+    support::governor::par_map(ids.len(), threads, |i| {
+        let (s, f) = summarize_proc_guarded(program, ids[i], config);
+        (ids[i], s, f)
+    })
 }
 
 #[cfg(test)]
@@ -247,38 +153,53 @@ end
             .unwrap()
     }
 
+    /// Every procedure of `p`, summarized on `threads` workers: the
+    /// summaries in procedure order plus the contained failures.
+    fn summarize_all(
+        p: &Program,
+        threads: usize,
+        config: BudgetConfig,
+    ) -> (Vec<ProcSummary>, Vec<IplFailure>) {
+        let ids: Vec<ProcId> = p.procedures.indices().collect();
+        let mut summaries = Vec::new();
+        let mut failures = Vec::new();
+        for (_, s, f) in summarize_subset_isolated(p, &ids, threads, config) {
+            summaries.push(s);
+            failures.extend(f);
+        }
+        (summaries, failures)
+    }
+
     #[test]
     fn clean_program_has_no_failures() {
         let p = program();
-        let out = summarize_all_isolated(&p, BudgetConfig::default());
-        assert_eq!(out.summaries.len(), p.procedure_count());
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
-        assert!(out.summaries.iter().all(|s| s.accesses.iter().all(|r| !r.approx)));
+        let (summaries, failures) = summarize_all(&p, 1, BudgetConfig::default());
+        assert_eq!(summaries.len(), p.procedure_count());
+        assert!(failures.is_empty(), "{failures:?}");
+        assert!(summaries.iter().all(|s| s.accesses.iter().all(|r| !r.approx)));
     }
 
     #[test]
     fn tiny_budget_reports_budget_failures_not_errors() {
         let p = program();
-        let out = summarize_all_isolated(
-            &p,
-            BudgetConfig { fm_steps: 0, ..BudgetConfig::default() },
-        );
-        assert_eq!(out.summaries.len(), p.procedure_count());
+        let (summaries, failures) =
+            summarize_all(&p, 1, BudgetConfig { fm_steps: 0, ..BudgetConfig::default() });
+        assert_eq!(summaries.len(), p.procedure_count());
         // Summaries still exist for every procedure; any failure is a
         // budget report, not a loss of coverage.
-        assert!(out.failures.iter().all(|f| f.stage == "budget"));
+        assert!(failures.iter().all(|f| f.stage == "budget"));
     }
 
     #[test]
     fn parallel_isolated_matches_serial() {
         let p = program();
-        let serial = summarize_all_isolated(&p, BudgetConfig::default());
-        let par = summarize_all_parallel_isolated(&p, 4, BudgetConfig::default());
-        assert_eq!(serial.summaries.len(), par.summaries.len());
-        for (a, b) in serial.summaries.iter().zip(&par.summaries) {
+        let serial = summarize_all(&p, 1, BudgetConfig::default());
+        let par = summarize_all(&p, 4, BudgetConfig::default());
+        assert_eq!(serial.0.len(), par.0.len());
+        for (a, b) in serial.0.iter().zip(&par.0) {
             assert_eq!(a.accesses.len(), b.accesses.len());
         }
-        assert_eq!(serial.failures.len(), par.failures.len());
+        assert_eq!(serial.1.len(), par.1.len());
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   translation;
 //! - [`sideeffect`] — call-site effect sets and the Fig. 1 parallelization
 //!   independence test;
-//! - [`parallel`] — crossbeam-parallel IPL driver;
-//! - [`isolate`] — budget-bounded, panic-contained IPL used by robust
-//!   drivers (one failure degrades one procedure, not the run);
+//! - [`isolate`] — budget-bounded, panic-contained IPL, serial or on the
+//!   governed worker pool (`support::governor::par_map`); one failure
+//!   degrades one procedure, not the run;
 //! - [`rebase`] — rewrites cached summaries onto a re-parsed program (the
 //!   incremental session's cache-hit path).
 
@@ -24,7 +24,6 @@ pub mod interval_ai;
 pub mod isolate;
 pub mod local;
 pub mod loop_parallel;
-pub mod parallel;
 pub mod persist;
 pub mod propagate;
 pub mod rebase;
@@ -33,7 +32,7 @@ pub mod sideeffect;
 pub use callgraph::{CallGraph, CallSite};
 pub use index_facts::IndexArrayFact;
 pub use interval_ai::RecoveredBounds;
-pub use isolate::{IplFailure, IplOutcome};
+pub use isolate::IplFailure;
 pub use local::{AccessRecord, ProcSummary};
 pub use loop_parallel::{analyze_proc_loops, analyze_proc_loops_with_facts, LoopVerdict, ScalarUse};
 pub use propagate::{analyze, validated_index_facts, IpaResult};

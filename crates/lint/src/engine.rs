@@ -7,8 +7,6 @@ use crate::LintReport;
 use araa::{Analysis, Degradation};
 use ipa::callgraph::display_name;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use support::hash::StableHasher;
 use support::idx::Idx;
 use support::obs::{self, Counter};
@@ -116,38 +114,13 @@ fn evaluate(
     indices: &[usize],
     threads: usize,
 ) -> Vec<(usize, Result<ProcLint, String>)> {
-    if threads <= 1 || indices.len() <= 1 {
-        return indices
-            .iter()
-            .map(|&i| (i, lint_procedure(analysis, ProcId::from_usize(i))))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let out: Mutex<Vec<(usize, Result<ProcLint, String>)>> =
-        Mutex::new(Vec::with_capacity(indices.len()));
-    // Deadline and memory-budget contexts are thread-scoped; hand the
-    // spawning thread's to each worker so rule evaluation observes the
-    // same request deadline and charges the same allocation pool.
-    let deadline_ctx = support::deadline::current();
-    let memory_ctx = support::memory::current();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(indices.len()) {
-            scope.spawn(|| {
-                let _deadline = deadline_ctx.clone().map(support::deadline::enter);
-                let _memory = memory_ctx.clone().map(support::memory::enter);
-                loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = indices.get(k) else { break };
-                    let res = lint_procedure(analysis, ProcId::from_usize(i));
-                    out.lock().unwrap_or_else(|p| p.into_inner()).push((i, res));
-                }
-            });
-        }
-    });
-    let mut results = out.into_inner().unwrap_or_else(|p| p.into_inner());
-    // Completion order is racy; index order is not.
-    results.sort_by_key(|(i, _)| *i);
-    results
+    // The governed pool: workers observe the caller's deadline, charge its
+    // memory budget and record into its collector; results merge in index
+    // order, so the findings are identical at any thread count.
+    support::governor::par_map(indices.len(), threads, |k| {
+        let i = indices[k];
+        (i, lint_procedure(analysis, ProcId::from_usize(i)))
+    })
 }
 
 /// One contained per-procedure evaluation.

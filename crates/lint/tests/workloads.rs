@@ -104,11 +104,22 @@ fn thread_count_does_not_change_a_single_byte() {
     let mut srcs = workloads::mini_lu::sources();
     srcs.push(workloads::fig10::source());
     let a = analyze(&srcs);
-    let serial = lint::run(&a, &LintOptions { threads: 1 });
-    let threaded = lint::run(&a, &LintOptions { threads: 8 });
+    // Lint under an attached collector: worker threads must record into it
+    // exactly as the serial run does, so the counters match too.
+    let observed = |threads: usize| {
+        let c = Collector::new(ClockKind::Logical);
+        let report = {
+            let _g = obs::attach(c.clone());
+            lint::run(&a, &LintOptions { threads })
+        };
+        (report, c.snapshot().counters)
+    };
+    let (serial, serial_counters) = observed(1);
+    let (threaded, threaded_counters) = observed(8);
     assert_eq!(serial.render(), threaded.render());
     assert_eq!(
         lint::sarif::to_sarif(&serial, "test"),
         lint::sarif::to_sarif(&threaded, "test")
     );
+    assert_eq!(serial_counters, threaded_counters, "counters depend on thread count");
 }

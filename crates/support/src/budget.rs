@@ -4,10 +4,11 @@
 //! Fourier–Motzkin elimination is worst-case exponential and the parsers are
 //! recursive, so an adversarial (or merely broken) input could otherwise pin
 //! a core or blow the stack. Instead of failing, every expensive phase
-//! charges work against a thread-local [`BudgetScope`]; when a budget runs
-//! dry the phase *widens* — it returns a conservative over-approximation
-//! (ultimately the whole declared array, `[0:N-1:1]`) and records why. The
-//! result is still sound for every consumer: regions only grow.
+//! charges work against a thread-local [`BudgetScope`] (the per-thread part
+//! of the [`crate::governor`] context); when a budget runs dry the phase
+//! *widens* — it returns a conservative over-approximation (ultimately the
+//! whole declared array, `[0:N-1:1]`) and records why. The result is still
+//! sound for every consumer: regions only grow.
 //!
 //! Usage:
 //!
@@ -23,7 +24,7 @@
 //! With no scope active every charge succeeds (unlimited), so library code
 //! can charge unconditionally.
 
-use std::cell::RefCell;
+use crate::governor::{self, Stop};
 
 /// Budget knobs. All limits are per [`enter`] scope (the driver opens one
 /// scope per analyzed procedure, so these are per-procedure ceilings).
@@ -75,31 +76,26 @@ pub const DEFAULT_MAX_CONSTRAINTS: usize = 96;
 /// the thread stack is at risk.
 pub const DEFAULT_RECURSION_LIMIT: u32 = 200;
 
+/// An open scope's remaining allowance.
 #[derive(Debug)]
-struct State {
+pub(crate) struct Steps {
     config: BudgetConfig,
     fm_steps_left: u64,
     translations_left: u64,
-    /// Sticky description of the first budget that ran dry.
-    exhausted: Option<&'static str>,
-}
-
-thread_local! {
-    static ACTIVE: RefCell<Option<State>> = const { RefCell::new(None) };
-    static DEPTH: RefCell<u32> = const { RefCell::new(0) };
+    /// The first stop this scope saw (sticky).
+    pub(crate) stopped: Option<Stop>,
 }
 
 /// An active budget scope; dropping it restores the previous scope (scopes
 /// nest, innermost wins).
 #[derive(Debug)]
 pub struct BudgetScope {
-    prev: Option<State>,
+    prev: Option<Steps>,
 }
 
 impl Drop for BudgetScope {
     fn drop(&mut self) {
-        let closed =
-            ACTIVE.with(|a| std::mem::replace(&mut *a.borrow_mut(), self.prev.take()));
+        let closed = governor::context(|cx| cx.steps.replace(self.prev.take()));
         if let Some(state) = closed {
             // Report consumed units (limit minus remainder) to the
             // observability layer; no-ops when nothing is collecting.
@@ -111,7 +107,7 @@ impl Drop for BudgetScope {
                 crate::obs::Counter::BudgetTranslations,
                 state.config.translations.saturating_sub(state.translations_left),
             );
-            if state.exhausted.is_some() {
+            if state.stopped.is_some() {
                 crate::obs::incr(crate::obs::Counter::BudgetExhausted);
             }
         }
@@ -120,41 +116,37 @@ impl Drop for BudgetScope {
 
 /// Opens a budget scope on this thread.
 pub fn enter(config: BudgetConfig) -> BudgetScope {
-    let state = State {
+    let state = Steps {
         config,
         fm_steps_left: config.fm_steps,
         translations_left: config.translations,
-        exhausted: None,
+        stopped: None,
     };
-    let prev = ACTIVE.with(|a| a.borrow_mut().replace(state));
-    BudgetScope { prev }
+    BudgetScope { prev: governor::context(|cx| cx.steps.replace(Some(state))) }
 }
 
-fn charge(n: u64, pick: impl Fn(&mut State) -> &mut u64, label: &'static str) -> bool {
-    // Wall-clock deadlines and memory budgets piggyback on the work
-    // checkpoints: an expired deadline or exhausted allocation budget
-    // denies every further charge, so the phase widens exactly as if its
-    // step budget ran dry. Checked first so they work without a scope too.
-    if crate::deadline::expired_fast() {
-        note_exhausted("deadline");
-        return false;
-    }
-    if !crate::memory::checkpoint() {
-        note_exhausted("memory");
-        return false;
-    }
-    ACTIVE.with(|a| {
-        let mut b = a.borrow_mut();
-        let Some(state) = b.as_mut() else { return true };
-        let left = pick(state);
+/// Charges `n` units of `kind` (`FmSteps` or `Translations`). Wall-clock
+/// deadlines and memory budgets piggyback on the work checkpoints: an
+/// expired deadline or exhausted allocation budget denies every further
+/// charge ([`governor::checkpoint`]), so the phase widens exactly as if its
+/// step budget ran dry. Checked first so they work without a scope too.
+fn charge(kind: Stop, n: u64) -> bool {
+    governor::context(|cx| {
+        if cx.checkpoint().is_err() {
+            return false;
+        }
+        let mut steps = cx.steps.borrow_mut();
+        let Some(state) = steps.as_mut() else { return true };
+        let left = match kind {
+            Stop::Translations => &mut state.translations_left,
+            _ => &mut state.fm_steps_left,
+        };
         if *left >= n {
             *left -= n;
             true
         } else {
             *left = 0;
-            if state.exhausted.is_none() {
-                state.exhausted = Some(label);
-            }
+            state.stopped.get_or_insert(kind);
             false
         }
     })
@@ -163,44 +155,29 @@ fn charge(n: u64, pick: impl Fn(&mut State) -> &mut u64, label: &'static str) ->
 /// Charges `n` Fourier–Motzkin work steps; `false` once the budget is dry
 /// (callers must widen instead of continuing).
 pub fn charge_steps(n: u64) -> bool {
-    charge(n, |s| &mut s.fm_steps_left, "fm-steps")
+    charge(Stop::FmSteps, n)
 }
 
 /// Charges one interprocedural record translation.
 pub fn charge_translation() -> bool {
-    charge(1, |s| &mut s.translations_left, "translations")
+    charge(Stop::Translations, 1)
 }
 
 /// The constraint-count cap of the active scope (or the default).
 pub fn constraint_cap() -> usize {
-    ACTIVE.with(|a| {
-        a.borrow()
-            .as_ref()
-            .map(|s| s.config.max_constraints)
-            .unwrap_or(DEFAULT_MAX_CONSTRAINTS)
+    governor::context(|cx| {
+        cx.steps.borrow().as_ref().map_or(DEFAULT_MAX_CONSTRAINTS, |s| s.config.max_constraints)
     })
 }
 
 /// True once any budget of the active scope has run dry (sticky).
 pub fn exhausted() -> bool {
-    ACTIVE.with(|a| a.borrow().as_ref().is_some_and(|s| s.exhausted.is_some()))
+    exhaustion().is_some()
 }
 
 /// Which budget ran dry first, if any.
 pub fn exhaustion() -> Option<&'static str> {
-    ACTIVE.with(|a| a.borrow().as_ref().and_then(|s| s.exhausted))
-}
-
-/// Marks the active scope exhausted with an explicit label (used by phases
-/// that detect their own overrun conditions).
-pub fn note_exhausted(label: &'static str) {
-    ACTIVE.with(|a| {
-        if let Some(state) = a.borrow_mut().as_mut() {
-            if state.exhausted.is_none() {
-                state.exhausted = Some(label);
-            }
-        }
-    });
+    governor::context(|cx| cx.steps.borrow().as_ref().and_then(|s| s.stopped)).map(Stop::label)
 }
 
 /// RAII token for one recursion level; see [`recursion_guard`].
@@ -211,10 +188,7 @@ pub struct RecursionGuard {
 
 impl Drop for RecursionGuard {
     fn drop(&mut self) {
-        DEPTH.with(|d| {
-            let mut d = d.borrow_mut();
-            *d = d.saturating_sub(1);
-        });
+        governor::context(|cx| cx.depth.set(cx.depth.get().saturating_sub(1)));
     }
 }
 
@@ -222,29 +196,20 @@ impl Drop for RecursionGuard {
 /// the caller should surface a "nesting too deep" error instead of
 /// recursing further (and risking an uncatchable stack overflow).
 pub fn recursion_guard() -> Option<RecursionGuard> {
-    if crate::deadline::expired_fast() {
-        note_exhausted("deadline");
-        return None;
-    }
-    if !crate::memory::checkpoint() {
-        note_exhausted("memory");
-        return None;
-    }
-    let limit = ACTIVE.with(|a| {
-        a.borrow()
+    governor::context(|cx| {
+        cx.checkpoint().ok()?;
+        let limit = cx
+            .steps
+            .borrow()
             .as_ref()
-            .map(|s| s.config.recursion_limit)
-            .unwrap_or(DEFAULT_RECURSION_LIMIT)
-    });
-    DEPTH.with(|d| {
-        let mut d = d.borrow_mut();
-        if *d >= limit {
-            note_exhausted("recursion");
-            None
-        } else {
-            *d += 1;
-            Some(RecursionGuard { _private: () })
+            .map_or(DEFAULT_RECURSION_LIMIT, |s| s.config.recursion_limit);
+        let depth = cx.depth.get();
+        if depth >= limit {
+            cx.note(Stop::Recursion);
+            return None;
         }
+        cx.depth.set(depth + 1);
+        Some(RecursionGuard { _private: () })
     })
 }
 
@@ -317,10 +282,10 @@ mod tests {
 
     #[test]
     fn note_exhausted_is_first_wins() {
-        let _s = enter(BudgetConfig::default());
-        note_exhausted("first");
-        note_exhausted("second");
-        assert_eq!(exhaustion(), Some("first"));
+        let _s = enter(BudgetConfig { fm_steps: 0, translations: 0, ..Default::default() });
+        assert!(!charge_steps(1));
+        assert!(!charge_translation());
+        assert_eq!(exhaustion(), Some("fm-steps"));
     }
 
     #[test]

@@ -2,15 +2,14 @@
 //! existing budget checkpoints.
 //!
 //! Budgets ([`crate::budget`]) bound *work*; deadlines bound *wall time*.
-//! The two compose: [`crate::budget::charge_steps`] and friends consult the
-//! thread's active [`DeadlineToken`] before charging, so the moment a
-//! deadline passes (or the token is cancelled from another thread), every
-//! budgeted phase behaves exactly as if its budget ran dry — Fourier–
-//! Motzkin drops constraints, propagation widens to `MESSY`, parsers stop
-//! recursing — and the analysis completes *degraded within the deadline*
-//! instead of hanging. Nothing is torn down mid-state; cancellation is
-//! purely cooperative and every intermediate result stays sound
-//! (regions only grow).
+//! The two compose: the token is part of the [`crate::governor`] context,
+//! and [`crate::budget::charge_steps`] and friends consult it before
+//! charging, so the moment a deadline passes every budgeted phase behaves
+//! exactly as if its budget ran dry — Fourier–Motzkin drops constraints,
+//! propagation widens to `MESSY`, parsers stop recursing — and the analysis
+//! completes *degraded within the deadline* instead of hanging. Nothing is
+//! torn down mid-state; cancellation is purely cooperative and every
+//! intermediate result stays sound (regions only grow).
 //!
 //! ```
 //! use support::deadline::{self, DeadlineToken};
@@ -18,19 +17,18 @@
 //!
 //! let token = DeadlineToken::after(Duration::from_secs(0));
 //! let _scope = deadline::enter(token.clone());
-//! assert!(deadline::expired());
+//! assert!(token.expired_now());
 //! assert!(!support::budget::charge_steps(1), "budget checkpoints observe it");
 //! ```
 //!
 //! Tokens are `Arc`-shared and cheap to clone; a server hands the same
-//! token to every worker thread of one request ([`current`] + [`enter`])
-//! so a fan-out analysis observes one shared clock. Checking is cheap: the
-//! fast path is one relaxed atomic load, and the actual `Instant::now()`
-//! comparison runs only once per [`CHECK_INTERVAL`] calls per thread (an
-//! expired check latches the atomic, so every later check takes the fast
-//! path).
+//! token to every worker thread of one request (through
+//! [`crate::governor::Governor::attach`]) so a fan-out analysis observes
+//! one shared clock. Checking is cheap: the fast path is one relaxed atomic
+//! load, and the actual `Instant::now()` comparison runs only once per
+//! [`CHECK_INTERVAL`] checks per thread (an expired check latches the
+//! atomic, so every later check takes the fast path).
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,171 +38,84 @@ use std::time::{Duration, Instant};
 /// overshoot to well under a millisecond of extra work.
 pub const CHECK_INTERVAL: u32 = 64;
 
-/// A shareable deadline + cancellation flag. Created once per request (or
-/// per CLI invocation under `--timeout`) and installed on every thread
-/// doing that request's work via [`enter`].
+/// A shareable deadline. Created once per request (or per CLI invocation
+/// under `--timeout`) and installed on every thread doing that request's
+/// work via [`enter`] or a [`crate::governor::Governor`].
 #[derive(Debug)]
 pub struct DeadlineToken {
-    /// Absolute expiry instant; `None` for a cancel-only token.
-    deadline: Option<Instant>,
-    /// Latched once the deadline is observed expired, or on [`cancel`].
-    /// Checking this is the fast path shared by every thread.
-    cancelled: AtomicBool,
+    deadline: Instant,
+    /// Latched once the deadline is observed expired. Checking this is the
+    /// fast path shared by every thread.
+    expired: AtomicBool,
 }
 
 impl DeadlineToken {
     /// A token expiring `after` from now.
     pub fn after(after: Duration) -> Arc<DeadlineToken> {
         Arc::new(DeadlineToken {
-            deadline: Some(Instant::now() + after),
-            cancelled: AtomicBool::new(false),
+            deadline: Instant::now() + after,
+            expired: AtomicBool::new(false),
         })
-    }
-
-    /// A token expiring at `at`.
-    pub fn at(at: Instant) -> Arc<DeadlineToken> {
-        Arc::new(DeadlineToken { deadline: Some(at), cancelled: AtomicBool::new(false) })
-    }
-
-    /// A token with no deadline, expired only by [`cancel`](Self::cancel)
-    /// (e.g. a server drain aborting queued work).
-    pub fn manual() -> Arc<DeadlineToken> {
-        Arc::new(DeadlineToken { deadline: None, cancelled: AtomicBool::new(false) })
-    }
-
-    /// Expires the token immediately, from any thread.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
     }
 
     /// Whether the token is expired, reading the real clock. Latches: once
     /// expired, always expired.
     pub fn expired_now(&self) -> bool {
-        if self.cancelled.load(Ordering::Relaxed) {
+        if self.latched() {
             return true;
         }
-        match self.deadline {
-            Some(d) if Instant::now() >= d => {
-                self.cancelled.store(true, Ordering::Relaxed);
-                true
-            }
-            _ => false,
+        let expired = Instant::now() >= self.deadline;
+        if expired {
+            self.expired.store(true, Ordering::Relaxed);
         }
+        expired
     }
 
-    /// Time left before expiry: `None` for a cancel-only token that has not
-    /// been cancelled, `Some(ZERO)` once expired.
-    pub fn remaining(&self) -> Option<Duration> {
-        if self.cancelled.load(Ordering::Relaxed) {
-            return Some(Duration::ZERO);
-        }
-        self.deadline.map(|d| d.saturating_duration_since(Instant::now()))
+    /// Whether an earlier check already saw the token expired (no clock
+    /// read).
+    pub(crate) fn latched(&self) -> bool {
+        self.expired.load(Ordering::Relaxed)
     }
 }
 
-thread_local! {
-    static CURRENT: std::cell::RefCell<Option<Arc<DeadlineToken>>> =
-        const { std::cell::RefCell::new(None) };
-    /// Countdown to the next real clock read on this thread.
-    static UNTIL_CHECK: Cell<u32> = const { Cell::new(0) };
-}
+/// An installed deadline scope; see [`enter`].
+pub type DeadlineScope = crate::governor::Attached;
 
-/// An installed deadline scope; dropping it restores the previously active
-/// token (scopes nest, innermost wins — matching [`crate::budget`] scopes).
-#[derive(Debug)]
-pub struct DeadlineScope {
-    prev: Option<Arc<DeadlineToken>>,
-}
-
-impl Drop for DeadlineScope {
-    fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
-    }
-}
-
-/// Installs `token` as this thread's active deadline.
+/// Installs `token` as this thread's active deadline until the scope drops
+/// (scopes nest, innermost wins — matching [`crate::budget`] scopes).
 pub fn enter(token: Arc<DeadlineToken>) -> DeadlineScope {
-    let prev = CURRENT.with(|c| c.borrow_mut().replace(token));
-    UNTIL_CHECK.with(|u| u.set(0));
-    DeadlineScope { prev }
-}
-
-/// The thread's active token, for handing to worker threads (which call
-/// [`enter`] with it so the whole fan-out shares one deadline).
-pub fn current() -> Option<Arc<DeadlineToken>> {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
-/// Whether the active deadline (if any) has expired, reading the real
-/// clock. Use at natural pause points (between pipeline phases, between
-/// requests).
-pub fn expired() -> bool {
-    CURRENT.with(|c| c.borrow().as_ref().is_some_and(|t| t.expired_now()))
-}
-
-/// Throttled expiry check for hot paths (the budget checkpoints): one
-/// relaxed atomic load per call, a real clock read every
-/// [`CHECK_INTERVAL`] calls. Latches like [`expired`].
-pub fn expired_fast() -> bool {
-    CURRENT.with(|c| {
-        let b = c.borrow();
-        let Some(t) = b.as_ref() else { return false };
-        if t.cancelled.load(Ordering::Relaxed) {
-            return true;
-        }
-        if t.deadline.is_none() {
-            return false;
-        }
-        UNTIL_CHECK.with(|u| {
-            let left = u.get();
-            if left == 0 {
-                u.set(CHECK_INTERVAL);
-                t.expired_now()
-            } else {
-                u.set(left - 1);
-                false
-            }
-        })
-    })
+    crate::governor::Governor::new().with_deadline(token).attach()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::{checkpoint, current, Stop};
 
     #[test]
     fn no_scope_never_expires() {
-        assert!(!expired());
-        assert!(!expired_fast());
+        assert!(current().deadline().is_none());
+        assert_eq!(checkpoint(), Ok(()));
     }
 
     #[test]
     fn zero_deadline_expires_immediately_and_latches() {
         let t = DeadlineToken::after(Duration::ZERO);
         let _s = enter(t.clone());
-        assert!(expired());
-        assert!(expired_fast(), "latched expiry takes the fast path");
-        assert_eq!(t.remaining(), Some(Duration::ZERO));
+        assert_eq!(checkpoint(), Err(Stop::Deadline));
+        assert!(t.latched(), "the first real clock read latches");
+        assert_eq!(checkpoint(), Err(Stop::Deadline), "latched expiry takes the fast path");
+        assert!(t.expired_now());
     }
 
     #[test]
     fn generous_deadline_does_not_expire() {
-        let _s = enter(DeadlineToken::after(Duration::from_secs(3600)));
-        for _ in 0..(CHECK_INTERVAL * 3) {
-            assert!(!expired_fast());
-        }
-        assert!(!expired());
-    }
-
-    #[test]
-    fn cancel_expires_from_another_thread() {
-        let t = DeadlineToken::manual();
+        let t = DeadlineToken::after(Duration::from_secs(3600));
         let _s = enter(t.clone());
-        assert!(!expired());
-        let t2 = t.clone();
-        std::thread::spawn(move || t2.cancel()).join().ok();
-        assert!(expired());
-        assert!(expired_fast());
+        for _ in 0..(CHECK_INTERVAL * 3) {
+            assert_eq!(checkpoint(), Ok(()));
+        }
+        assert!(!t.expired_now());
     }
 
     #[test]
@@ -213,11 +124,11 @@ mod tests {
         let s1 = enter(outer);
         {
             let _s2 = enter(DeadlineToken::after(Duration::ZERO));
-            assert!(expired());
+            assert_eq!(checkpoint(), Err(Stop::Deadline));
         }
-        assert!(!expired(), "outer token restored");
+        assert_eq!(checkpoint(), Ok(()), "outer token restored");
         drop(s1);
-        assert!(current().is_none());
+        assert!(current().deadline().is_none());
     }
 
     #[test]

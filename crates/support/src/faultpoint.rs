@@ -31,7 +31,7 @@
 //! | `persist::bit_flip`     | `read_file_validated` (flips one bit)         |
 //! | `lint::contain`         | `lint` per-procedure rule evaluation          |
 //! | `lint::sarif`           | `lint::sarif` document emission               |
-//! | `memory::charge`        | `support::memory::checkpoint` (denies the     |
+//! | `memory::charge`        | the governor's memory checkpoint (denies the  |
 //! |                         | charge — forces memory-budget exhaustion)     |
 //! | `serve::project::<name>`| `dragon serve` request dispatch, per project  |
 //! | `serve::wedge`          | `dragon serve` worker (spins off-checkpoint   |

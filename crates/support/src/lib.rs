@@ -4,13 +4,16 @@
 //! crate leans on: a string interner ([`intern::Interner`]), strongly-typed
 //! index newtypes ([`idx`]), a CSV reader/writer pair used for the `.rgn`
 //! exchange format ([`csv`]), an ASCII table renderer used by the Dragon
-//! text UI ([`table`]), and the workspace-wide error type ([`error`]).
+//! text UI ([`table`]), the workspace-wide error type ([`error`]), and the
+//! [`governor`] context that carries step budgets, deadlines, memory
+//! budgets and the obs collector across threads.
 
 pub mod budget;
 pub mod csv;
 pub mod deadline;
 pub mod error;
 pub mod faultpoint;
+pub mod governor;
 pub mod hash;
 pub mod idx;
 pub mod intern;

@@ -3,8 +3,9 @@
 //! Step budgets ([`crate::budget`]) and deadlines ([`crate::deadline`])
 //! bound *time*; this module bounds the last uncontrolled axis, *bytes*. A
 //! [`MemoryBudget`] is an allocation ceiling shared by every thread working
-//! on one logical task (one CLI invocation, one serve request). Threads
-//! enter the budget with [`enter`]; afterwards every call to
+//! on one logical task (one CLI invocation, one serve request); it is part
+//! of the [`crate::governor`] context. Threads enter the budget with
+//! [`enter`] (or a governor carrying it); afterwards every call to
 //! [`checkpoint`] — which [`crate::budget::charge_steps`] and friends make
 //! on the caller's behalf — charges the bytes allocated on this thread
 //! since the previous checkpoint against the shared ceiling. Once the
@@ -49,7 +50,6 @@
 //! be armed to deny the Nth checkpoint, forcing exhaustion without having
 //! to actually allocate the budget away.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -102,7 +102,7 @@ impl MemoryBudget {
     /// Charges `n` bytes; `false` once the ceiling is crossed. The charge
     /// that crosses the ceiling is still recorded (the high-water mark may
     /// overshoot the limit by up to one inter-checkpoint delta).
-    fn charge(&self, n: u64) -> bool {
+    pub(crate) fn charge(&self, n: u64) -> bool {
         if self.exhausted.load(Ordering::Relaxed) {
             return false;
         }
@@ -115,87 +115,26 @@ impl MemoryBudget {
     }
 }
 
-thread_local! {
-    /// Innermost-wins stack of entered budgets for this thread.
-    static STACK: RefCell<Vec<Arc<MemoryBudget>>> = const { RefCell::new(Vec::new()) };
-    /// `allocated_bytes()` as of the last checkpoint on this thread.
-    static MARK: RefCell<u64> = const { RefCell::new(0) };
-}
+/// An active memory scope; see [`enter`].
+pub type MemoryScope = crate::governor::Attached;
 
-/// An active memory scope on this thread; dropping it flushes the final
-/// allocation delta to its budget and restores the enclosing scope.
-#[derive(Debug)]
-pub struct MemoryScope {
-    _private: (),
-}
-
-impl Drop for MemoryScope {
-    fn drop(&mut self) {
-        flush_delta();
-        STACK.with(|s| {
-            s.borrow_mut().pop();
-        });
-    }
-}
-
-/// Enters `budget` on this thread (scopes nest, innermost wins). Any bytes
-/// already allocated but not yet checkpointed are flushed to the enclosing
-/// scope first, so nested budgets only pay for their own window.
+/// Enters `budget` on this thread until the scope drops (scopes nest,
+/// innermost wins). Any bytes already allocated but not yet checkpointed
+/// are flushed to the enclosing scope first, so nested budgets only pay
+/// for their own window; dropping the scope flushes the final delta.
 pub fn enter(budget: Arc<MemoryBudget>) -> MemoryScope {
-    flush_delta();
-    STACK.with(|s| s.borrow_mut().push(budget));
-    MARK.with(|m| *m.borrow_mut() = crate::obs::alloc::allocated_bytes());
-    MemoryScope { _private: () }
-}
-
-/// The innermost budget entered on this thread, for handing to worker
-/// threads (mirrors [`crate::deadline::current`]): capture it on the
-/// spawning thread, [`enter`] it on each worker.
-pub fn current() -> Option<Arc<MemoryBudget>> {
-    STACK.with(|s| s.borrow().last().cloned())
-}
-
-/// True once the innermost budget on this thread is exhausted.
-pub fn exhausted() -> bool {
-    STACK.with(|s| s.borrow().last().is_some_and(|b| b.exhausted()))
-}
-
-/// Charges the bytes allocated since the previous checkpoint to the
-/// innermost budget and advances the mark.
-fn flush_delta() {
-    STACK.with(|s| {
-        let stack = s.borrow();
-        let Some(budget) = stack.last() else { return };
-        let now = crate::obs::alloc::allocated_bytes();
-        let delta = MARK.with(|m| {
-            let mut m = m.borrow_mut();
-            let delta = now.saturating_sub(*m);
-            *m = now;
-            delta
-        });
-        budget.charge(delta);
-    });
+    crate::governor::Governor::new().with_memory(budget).attach()
 }
 
 /// Memory checkpoint: charges this thread's allocation delta against the
 /// innermost budget. `true` with headroom to spare (or with no scope
 /// active); `false` once the budget is exhausted — callers must widen, not
 /// allocate further. Invoked automatically from the step-budget
-/// checkpoints, so phases that already call `budget::charge_steps` (or
-/// `recursion_guard`) get memory enforcement for free.
+/// checkpoints ([`crate::governor::checkpoint`]), so phases that already
+/// call `budget::charge_steps` (or `recursion_guard`) get memory
+/// enforcement for free.
 pub fn checkpoint() -> bool {
-    let active = STACK.with(|s| !s.borrow().is_empty());
-    if !active {
-        return true;
-    }
-    if crate::faultpoint::fires("memory::charge") {
-        if let Some(budget) = current() {
-            budget.force_exhaust();
-        }
-        return false;
-    }
-    flush_delta();
-    !exhausted()
+    crate::governor::context(crate::governor::Context::memory_ok)
 }
 
 #[cfg(test)]
@@ -207,10 +146,13 @@ mod tests {
     // `force_exhaust`. End-to-end accounting is exercised by the `dragon`
     // binary tests, where the allocator is installed.
 
+    fn current() -> Option<Arc<MemoryBudget>> {
+        crate::governor::current().memory().cloned()
+    }
+
     #[test]
     fn checkpoint_unlimited_without_scope() {
         assert!(checkpoint());
-        assert!(!exhausted());
         assert!(current().is_none());
     }
 
@@ -245,7 +187,6 @@ mod tests {
             assert!(Arc::ptr_eq(&current().unwrap(), &inner));
             inner.force_exhaust();
             assert!(!checkpoint(), "innermost exhausted");
-            assert!(exhausted());
         }
         assert!(Arc::ptr_eq(&current().unwrap(), &outer));
         assert!(checkpoint(), "outer unaffected by inner exhaustion");

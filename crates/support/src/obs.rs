@@ -23,10 +23,11 @@
 //! 3. none — every call is a no-op costing one relaxed atomic load.
 //!
 //! Thread-scoped attachment (rather than a single global) keeps parallel
-//! test binaries honest: each test observes only its own session. Worker
-//! pools must re-attach the spawning thread's collector inside each worker
-//! (see `ipa::isolate::summarize_subset_isolated`), mirroring how budget
-//! scopes are thread-local.
+//! test binaries honest: each test observes only its own session. The
+//! attached collector is part of the [`crate::governor`] context, so a
+//! worker pool that re-attaches the spawning thread's governor (as
+//! [`crate::governor::par_map`] does in every worker) records into the
+//! same collector, under the same deadline and memory budget.
 //!
 //! # Determinism
 //!
@@ -302,9 +303,6 @@ static ATTACH_COUNT: AtomicU64 = AtomicU64::new(0);
 static GLOBAL: OnceLock<Arc<Collector>> = OnceLock::new();
 
 thread_local! {
-    /// Innermost-wins stack of collectors attached to this thread.
-    static CURRENT: std::cell::RefCell<Vec<Arc<Collector>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
     /// Cache of (collector id → tid) for this thread, avoiding a lock per
     /// span end.
     static TID_CACHE: std::cell::Cell<(u64, u32)> = const { std::cell::Cell::new((0, 0)) };
@@ -547,8 +545,9 @@ impl Collector {
 // ---------------------------------------------------------------------------
 
 /// Fixed-bound log-linear histograms: each power-of-two octave is split
-/// into [`SUB_BUCKETS`] linear sub-buckets, giving ≤ 25% relative bucket
-/// error across the full `u64` range with a small constant bucket count.
+/// into [`SUB_BUCKETS`](hist::SUB_BUCKETS) linear sub-buckets, giving ≤ 25%
+/// relative bucket error across the full `u64` range with a small constant
+/// bucket count.
 /// Bounds are process-invariant constants, so bucket-count vectors from
 /// different shards, runs, or machines merge by plain elementwise
 /// addition — the property the serve metrics registry's determinism
@@ -825,30 +824,28 @@ impl Snapshot {
 // ---------------------------------------------------------------------------
 
 /// RAII handle detaching the collector from this thread on drop.
-#[derive(Debug)]
-pub struct AttachGuard {
-    _private: (),
-}
-
-impl Drop for AttachGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|c| {
-            c.borrow_mut().pop();
-        });
-        if ATTACH_COUNT.fetch_sub(1, Ordering::Relaxed) == 1 && GLOBAL.get().is_none() {
-            ANY_ACTIVE.store(false, Ordering::Relaxed);
-        }
-    }
-}
+pub type AttachGuard = crate::governor::Attached;
 
 /// Attaches `collector` to the current thread until the guard drops
-/// (innermost attachment wins). Worker pools must call this inside each
-/// worker with the spawning thread's [`current`] collector.
+/// (innermost attachment wins). Worker threads inherit it through the
+/// [`crate::governor`] context: [`crate::governor::par_map`] and every
+/// other thread hop re-attach the spawning thread's governor.
 pub fn attach(collector: Arc<Collector>) -> AttachGuard {
-    CURRENT.with(|c| c.borrow_mut().push(collector));
+    crate::governor::Governor::new().with_collector(collector).attach()
+}
+
+/// Bookkeeping for a governor attaching a collector: opens the fast gate.
+pub(crate) fn note_attached() {
     ATTACH_COUNT.fetch_add(1, Ordering::Relaxed);
     ANY_ACTIVE.store(true, Ordering::Relaxed);
-    AttachGuard { _private: () }
+}
+
+/// Bookkeeping for a governor detaching a collector: closes the fast gate
+/// once nothing is attached anywhere and no global collector exists.
+pub(crate) fn note_detached() {
+    if ATTACH_COUNT.fetch_sub(1, Ordering::Relaxed) == 1 && GLOBAL.get().is_none() {
+        ANY_ACTIVE.store(false, Ordering::Relaxed);
+    }
 }
 
 /// Installs the process-global fallback collector (what the `dragon`
@@ -872,9 +869,7 @@ pub fn current() -> Option<Arc<Collector>> {
     if !ANY_ACTIVE.load(Ordering::Relaxed) {
         return None;
     }
-    CURRENT
-        .with(|c| c.borrow().last().cloned())
-        .or_else(|| GLOBAL.get().cloned())
+    crate::governor::context(|cx| cx.collector.borrow().clone()).or_else(|| GLOBAL.get().cloned())
 }
 
 /// Adds `n` to a counter on the current collector (no-op when none).
