@@ -20,10 +20,10 @@
 use crate::callgraph::{CallGraph, CallSite};
 use crate::index_facts::IndexArrayFact;
 use crate::local::{AccessRecord, ProcSummary};
-use regions::access::Precision;
+use regions::access::{AccessMode, Precision};
 use regions::space::{Space, VarKind};
 use regions::triplet::{Bound, Triplet, TripletRegion};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use support::idx::Idx;
 use whirl::{Opr, ProcId, Program, StClass, StIdx};
 
@@ -50,36 +50,34 @@ impl IpaResult {
 
 /// Keeps only index-array facts whose owning procedure is the array's sole
 /// writer: one procedure carries the fact, and no *other* procedure has a
-/// direct `DEF` or `PASSED` record on the array. Cheap (one scan of the
-/// summaries) and derived fresh, so incremental re-propagation can simply
-/// recompute it.
+/// direct `DEF` or `PASSED` record on the array. Cheap — one scan of the
+/// summaries' facts, then one scan of their records, so O((F + R) log F)
+/// for F facts and R records — and derived fresh, so incremental
+/// re-propagation can simply recompute it.
 pub fn validated_index_facts(summaries: &[ProcSummary]) -> BTreeMap<StIdx, IndexArrayFact> {
-    let mut owner: BTreeMap<StIdx, Vec<usize>> = BTreeMap::new();
+    // The one procedure carrying each fact; `None` once a second carries it.
+    let mut owner: BTreeMap<StIdx, Option<usize>> = BTreeMap::new();
     for (i, s) in summaries.iter().enumerate() {
         for st in s.index_facts.keys() {
-            owner.entry(*st).or_default().push(i);
+            owner.entry(*st).and_modify(|o| *o = None).or_insert(Some(i));
         }
     }
-    let mut out = BTreeMap::new();
-    for (st, owners) in owner {
-        let [only] = owners[..] else { continue };
-        let foreign_writer = summaries.iter().enumerate().any(|(i, s)| {
-            i != only
-                && s.accesses.iter().any(|r| {
-                    r.array == st
-                        && r.from_call.is_none()
-                        && matches!(
-                            r.mode,
-                            regions::access::AccessMode::Def
-                                | regions::access::AccessMode::Passed
-                        )
-                })
-        });
-        if !foreign_writer {
-            out.insert(st, summaries[only].index_facts[&st].clone());
+    let mut foreign_written: BTreeSet<StIdx> = BTreeSet::new();
+    for (i, s) in summaries.iter().enumerate() {
+        for r in &s.accesses {
+            if r.from_call.is_none()
+                && matches!(r.mode, AccessMode::Def | AccessMode::Passed)
+                && matches!(owner.get(&r.array), Some(&Some(only)) if only != i)
+            {
+                foreign_written.insert(r.array);
+            }
         }
     }
-    out
+    owner
+        .into_iter()
+        .filter(|(st, _)| !foreign_written.contains(st))
+        .filter_map(|(st, only)| Some((st, summaries[only?].index_facts[&st].clone())))
+        .collect()
 }
 
 /// Runs propagation over already-computed local summaries.
@@ -547,6 +545,142 @@ end
                 assert_eq!(x.from_call, y.from_call);
                 assert_eq!(x.line, y.line);
             }
+        }
+    }
+
+    /// The original quadratic sole-writer check (every summary rescanned
+    /// per fact), kept as the oracle for [`validated_index_facts`].
+    fn validated_index_facts_reference(
+        summaries: &[ProcSummary],
+    ) -> BTreeMap<StIdx, IndexArrayFact> {
+        let mut owner: BTreeMap<StIdx, Vec<usize>> = BTreeMap::new();
+        for (i, s) in summaries.iter().enumerate() {
+            for st in s.index_facts.keys() {
+                owner.entry(*st).or_default().push(i);
+            }
+        }
+        let mut out = BTreeMap::new();
+        for (st, owners) in owner {
+            let [only] = owners[..] else { continue };
+            let foreign_writer = summaries.iter().enumerate().any(|(i, s)| {
+                i != only
+                    && s.accesses.iter().any(|r| {
+                        r.array == st
+                            && r.from_call.is_none()
+                            && matches!(r.mode, AccessMode::Def | AccessMode::Passed)
+                    })
+            });
+            if !foreign_writer {
+                out.insert(st, summaries[only].index_facts[&st].clone());
+            }
+        }
+        out
+    }
+
+    /// A fact that records its owner and array, so a fact handed out under
+    /// the wrong owner cannot compare equal.
+    fn fact(owner: usize, array: usize) -> IndexArrayFact {
+        IndexArrayFact {
+            constant_after_init: true,
+            monotone_nondecreasing: true,
+            injective: true,
+            value_range: Some((owner as i64, array as i64)),
+            init_region: None,
+            init_end_pos: owner as u32,
+        }
+    }
+
+    fn record(array: usize, mode: AccessMode, from_call: Option<usize>) -> AccessRecord {
+        AccessRecord {
+            array: StIdx::from_usize(array),
+            mode,
+            region: TripletRegion::new(vec![Triplet::constant(0, 9, 1)]),
+            convex: None,
+            space: Space::new(),
+            line: 1,
+            from_call: from_call.map(ProcId::from_usize),
+            remote: false,
+            approx: false,
+            precision: Precision::Exact,
+            via_index: None,
+        }
+    }
+
+    /// A record as `(array, mode, from_call)`.
+    type Rec = (usize, AccessMode, Option<usize>);
+    /// A procedure as the arrays it carries facts for, and its records.
+    type Proc<'a> = (&'a [usize], &'a [Rec]);
+
+    /// One summary per procedure.
+    fn summaries(procs: &[Proc]) -> Vec<ProcSummary> {
+        procs
+            .iter()
+            .enumerate()
+            .map(|(i, (facts, recs))| ProcSummary {
+                accesses: recs.iter().map(|&(a, m, f)| record(a, m, f)).collect(),
+                index_facts: facts.iter().map(|&a| (StIdx::from_usize(a), fact(i, a))).collect(),
+            })
+            .collect()
+    }
+
+    /// Validates `procs` with both implementations, asserts they agree and
+    /// returns the arrays whose facts survived.
+    fn surviving(procs: &[Proc]) -> Vec<usize> {
+        let s = summaries(procs);
+        let got = validated_index_facts(&s);
+        assert_eq!(got, validated_index_facts_reference(&s));
+        got.keys().map(|st| st.as_usize()).collect()
+    }
+
+    #[test]
+    fn sole_writer_rule_keeps_and_drops_facts() {
+        use AccessMode::{Def, Passed, Use};
+        // One owner, no other writer: kept, with the owner's fact.
+        let s = summaries(&[(&[0], &[]), (&[], &[])]);
+        assert_eq!(validated_index_facts(&s).get(&StIdx::from_usize(0)), Some(&fact(0, 0)));
+        // Two procedures carry the fact: dropped.
+        assert_eq!(surviving(&[(&[0], &[]), (&[0], &[])]), Vec::<usize>::new());
+        // Another procedure writes the array directly: dropped.
+        assert_eq!(surviving(&[(&[0], &[]), (&[], &[(0, Def, None)])]), Vec::<usize>::new());
+        // Another procedure passes the array to a call: dropped.
+        assert_eq!(surviving(&[(&[0], &[]), (&[], &[(0, Passed, None)])]), Vec::<usize>::new());
+        // Another procedure only reads it: kept.
+        assert_eq!(surviving(&[(&[0], &[]), (&[], &[(0, Use, None)])]), vec![0]);
+        // A propagated DEF restates a callee's store: kept.
+        assert_eq!(surviving(&[(&[0], &[]), (&[], &[(0, Def, Some(0))])]), vec![0]);
+        // The owner's own stores and passes: kept.
+        assert_eq!(surviving(&[(&[0], &[(0, Def, None), (0, Passed, None)])]), vec![0]);
+        // A foreign write to one array leaves another array's fact alone.
+        assert_eq!(surviving(&[(&[0, 1], &[]), (&[], &[(1, Def, None)])]), vec![0]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+        #[test]
+        fn validated_index_facts_matches_quadratic_reference(
+            procs in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0usize..4, 0..3),
+                    proptest::collection::vec((0usize..4, 0usize..4, 0usize..8), 0..8),
+                ),
+                1..6,
+            )
+        ) {
+            // `from_call` is set for about a third of the records.
+            let recs: Vec<Vec<Rec>> = procs
+                .iter()
+                .map(|(_, rs)| {
+                    rs.iter()
+                        .map(|&(a, m, f)| (a, AccessMode::ALL[m], f.checked_sub(5)))
+                        .collect()
+                })
+                .collect();
+            let shaped: Vec<Proc> = procs
+                .iter()
+                .zip(&recs)
+                .map(|((facts, _), rs)| (facts.as_slice(), rs.as_slice()))
+                .collect();
+            surviving(&shaped);
         }
     }
 

@@ -24,8 +24,10 @@ use araa::{Analysis, RgnRow};
 use ipa::callgraph::display_name;
 use ipa::AccessRecord;
 use regions::access::{AccessMode, Precision};
-use regions::triplet::Triplet;
-use std::collections::BTreeMap;
+use regions::triplet::{Triplet, TripletRegion};
+use regions::ConvexRegion;
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, HashMap};
 use whirl::lower::source_dim;
 use whirl::{DimBound, Lang, ProcId, StClass, StIdx};
 
@@ -270,13 +272,27 @@ fn ubd(a: &Analysis, id: ProcId, out: &mut ProcLint) {
         // written: they can neither grant coverage credit nor be proven
         // disjoint-from, so they are excluded from the exact check and
         // their presence caps every verdict at Possible.
-        let exact_defs: Vec<&AccessRecord> =
-            defs.iter().copied().filter(|d| !interval_or_worse(d)).collect();
-        let has_interval_def = exact_defs.len() != defs.len();
+        let exact_defs = distinct_regions(defs.iter().copied().filter(|d| !interval_or_worse(d)));
+        let has_interval_def = defs.iter().any(|d| interval_or_worse(d));
+        let def_worst = defs.iter().map(|d| d.precision).fold(Precision::Exact, Precision::worst);
+        // The verdict reads only the USE's `(region, convex)`, and call
+        // sites restate the same few regions many times: decide each
+        // distinct one once, then still report every USE on its own line.
+        let mut verdicts: HashMap<&TripletRegion, Vec<(&Option<ConvexRegion>, CoverVerdict)>> =
+            HashMap::new();
         for u in &uses {
             let capped = has_interval_def || interval_or_worse(u);
-            let worst = defs.iter().map(|d| d.precision).fold(u.precision, Precision::worst);
-            match uncovered_element(u, &exact_defs) {
+            let worst = u.precision.worst(def_worst);
+            let seen = verdicts.entry(&u.region).or_default();
+            let verdict = match seen.iter().find(|(cx, _)| **cx == u.convex) {
+                Some(&(_, v)) => v,
+                None => {
+                    let v = uncovered_element(u, &exact_defs);
+                    seen.push((&u.convex, v));
+                    v
+                }
+            };
+            match verdict {
                 CoverVerdict::Uncovered(e) => {
                     let finding = if capped {
                         Finding {
@@ -337,6 +353,7 @@ fn ubd(a: &Analysis, id: ProcId, out: &mut ProcLint) {
     }
 }
 
+#[derive(Clone, Copy)]
 enum CoverVerdict {
     /// A specific element is read and provably never defined.
     Uncovered(i64),
@@ -346,6 +363,21 @@ enum CoverVerdict {
     Covered,
     /// Could not decide.
     Unknown,
+}
+
+/// The records with distinct `(region, convex)` pairs, first occurrence
+/// first: all that [`uncovered_element`] reads of a DEF.
+fn distinct_regions<'a>(recs: impl Iterator<Item = &'a AccessRecord>) -> Vec<&'a AccessRecord> {
+    let mut seen: HashMap<&TripletRegion, Vec<&Option<ConvexRegion>>> = HashMap::new();
+    let mut out = Vec::new();
+    for r in recs {
+        let convexes = seen.entry(&r.region).or_default();
+        if !convexes.contains(&&r.convex) {
+            convexes.push(&r.convex);
+            out.push(r);
+        }
+    }
+    out
 }
 
 /// Exact, stride-aware coverage of one USE against a set of DEFs.
@@ -768,10 +800,16 @@ fn naf(a: &Analysis, id: ProcId, out: &mut ProcLint) {
 // DST-03: stores no use ever reads (global pass over the extracted rows)
 // ---------------------------------------------------------------------------
 
-/// Runs the dead-store rule over the extracted rows. `file_of` maps a
-/// procedure display name to its source file (rows carry object files).
+/// Runs the dead-store rule over the extracted rows. Rows carry object
+/// files, so findings map the row's procedure back to its source file.
 pub fn dead_stores(a: &Analysis) -> ProcLint {
     let mut out = ProcLint::default();
+    // Built on the first finding only: most programs have none.
+    let files = OnceCell::new();
+    let source_file_of = |proc: &str| -> String {
+        let files = files.get_or_init(|| source_files(a));
+        files.get(proc).cloned().unwrap_or_else(|| proc.to_string())
+    };
     // Globals group program-wide by name (any procedure may read what
     // another wrote); locals and formals group per scope.
     let mut groups: BTreeMap<(String, String), Vec<&RgnRow>> = BTreeMap::new();
@@ -814,7 +852,7 @@ pub fn dead_stores(a: &Analysis) -> ProcLint {
                 out.findings.push(Finding {
                     rule: Rule::Dst03,
                     severity: Severity::Definite,
-                    file: source_file_of(a, &first.proc),
+                    file: source_file_of(&first.proc),
                     line: first.line,
                     proc: first.proc.clone(),
                     array: array.clone(),
@@ -868,7 +906,7 @@ pub fn dead_stores(a: &Analysis) -> ProcLint {
             out.findings.push(Finding {
                 rule: Rule::Dst03,
                 severity,
-                file: source_file_of(a, &def.proc),
+                file: source_file_of(&def.proc),
                 line: def.line,
                 proc: def.proc.clone(),
                 array: array.clone(),
@@ -897,13 +935,15 @@ fn row_triplet_1d(row: &RgnRow) -> Option<Triplet> {
     Some(Triplet::constant(lb[0], ub[0], stride[0].max(1)))
 }
 
-/// Maps a row's procedure display name back to its source file.
-fn source_file_of(a: &Analysis, proc: &str) -> String {
-    for (id, p) in a.program.procedures.iter_enumerated() {
-        if display_name(&a.program, p) == proc {
-            let _ = id;
-            return a.program.name_of(p.file).to_string();
-        }
+/// Maps each procedure display name back to its source file. The first
+/// procedure in program order wins a shared name (every entry unit renders
+/// as `MAIN__`).
+fn source_files(a: &Analysis) -> HashMap<String, String> {
+    let mut files = HashMap::new();
+    for p in a.program.procedures.iter() {
+        files
+            .entry(display_name(&a.program, p))
+            .or_insert_with(|| a.program.name_of(p.file).to_string());
     }
-    proc.to_string()
+    files
 }

@@ -123,3 +123,65 @@ fn thread_count_does_not_change_a_single_byte() {
     );
     assert_eq!(serial_counters, threaded_counters, "counters depend on thread count");
 }
+
+/// A main that writes `t(1:5)` of its local `t(10)`, optionally stores
+/// through an index array as well (an interval-precision DEF), then calls a
+/// reader of `t(1:10)` from three lines. The three propagated USEs share
+/// one region, so UBD-02 decides it once.
+fn repeated_reader(interval_def: bool) -> workloads::GenSource {
+    let gather = if interval_def {
+        "  do i = 1, 3\n    idx(i) = 11 - i\n  end do\n  do i = 1, 3\n    t(idx(i)) = 2.0\n  end do\n"
+    } else {
+        ""
+    };
+    workloads::GenSource::fortran(
+        "reader.f",
+        format!(
+            "program main
+  double precision t(10)
+  integer idx(3)
+  integer i
+  do i = 1, 5
+    t(i) = 1.0
+  end do
+{gather}  call reader(t)
+  call reader(t)
+  call reader(t)
+end program main
+
+subroutine reader(x)
+  double precision x(10)
+  double precision s
+  integer i
+  s = 0.0
+  do i = 1, 10
+    s = s + x(i)
+  end do
+end subroutine reader
+"
+        ),
+    )
+}
+
+#[test]
+fn shared_use_regions_still_report_every_call_line() {
+    for (interval_def, severity, first_call) in
+        [(false, Severity::Definite, 8), (true, Severity::Possible, 14)]
+    {
+        let a = analyze(&[repeated_reader(interval_def)]);
+        let serial = lint::run(&a, &LintOptions { threads: 1 });
+        let ubd: Vec<_> = serial.findings.iter().filter(|f| f.rule == Rule::Ubd02).collect();
+        let lines: Vec<u32> = ubd.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [first_call, first_call + 1, first_call + 2], "{}", serial.render());
+        for f in &ubd {
+            assert_eq!(f.severity, severity, "{}", serial.render());
+            assert_eq!(f.array, "t");
+            assert!(f.message.contains("element 5"), "{}", f.message);
+        }
+        let threaded = lint::run(&a, &LintOptions { threads: 8 });
+        assert_eq!(
+            lint::sarif::to_sarif(&serial, "test"),
+            lint::sarif::to_sarif(&threaded, "test")
+        );
+    }
+}

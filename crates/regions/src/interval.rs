@@ -190,14 +190,10 @@ impl Interval {
         else {
             return Interval::top();
         };
-        let corners = [
-            al as i128 * bl as i128,
-            al as i128 * bh as i128,
-            ah as i128 * bl as i128,
-            ah as i128 * bh as i128,
-        ];
-        let lo = corners.iter().copied().min().unwrap();
-        let hi = corners.iter().copied().max().unwrap();
+        let first = al as i128 * bl as i128;
+        let (lo, hi) = [al as i128 * bh as i128, ah as i128 * bl as i128, ah as i128 * bh as i128]
+            .into_iter()
+            .fold((first, first), |(lo, hi), c| (lo.min(c), hi.max(c)));
         Interval { lo: clamp(lo), hi: clamp(hi) }
     }
 
